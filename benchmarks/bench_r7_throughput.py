@@ -33,7 +33,7 @@ from benchmarks.conftest import RESULTS_DIR, publish
 from repro.core import HeadModifierDetector, Segmenter
 from repro.core.conceptualizer import Conceptualizer
 from repro.eval import format_table
-from repro.runtime import CompiledDetector, DetectorPool, detect_batch_sharded
+from repro.runtime import CompiledDetector, DetectorPool
 from repro.utils.timer import Timer
 
 TABLE_SIZES = (10, 40, None)  # None = full table
@@ -128,30 +128,20 @@ def runtime_comparison(model, taxonomy, eval_queries, tmp_path_factory):
         "unpickle_ms": unpickle_timer.elapsed * 1000,
     }
 
-    # --- amortization: legacy one-shot sharding pays its whole cost on
-    # every call; the pool pays spawn+load once, then per-batch dispatch.
+    # --- amortization: the pool pays spawn+load once, on its first
+    # batch, then only per-batch dispatch.
     probe = queries[:COLD_START_PROBE]
-    with Timer() as legacy_timer:
-        legacy_out = detect_batch_sharded(compiled_detector, probe, SHARD_WORKERS)
     with DetectorPool(path, workers=SHARD_WORKERS) as probe_pool:
         with Timer() as pool_cold_timer:
             pool_out = probe_pool.detect_batch(probe)
         with Timer() as pool_warm_timer:
             probe_pool.detect_batch(probe)
-    assert pool_out == legacy_out  # identical results either way
-    legacy_ms = legacy_timer.elapsed * 1000
-    cold_ms = pool_cold_timer.elapsed * 1000
-    warm_ms = pool_warm_timer.elapsed * 1000
+    assert pool_out == compiled_detector.detect_batch(probe)
     cold_start = {
         "probe_queries": len(probe),
         "workers": SHARD_WORKERS,
-        "legacy_oneshot_ms": legacy_ms,  # paid again on EVERY legacy batch
-        "pool_cold_ms": cold_ms,  # paid once per pool lifetime
-        "pool_warm_ms": warm_ms,  # paid per batch thereafter
-        "warm_speedup_vs_oneshot": legacy_ms / warm_ms,
-        "breakeven_batches": (
-            cold_ms / (legacy_ms - warm_ms) if legacy_ms > warm_ms else float("inf")
-        ),
+        "pool_cold_ms": pool_cold_timer.elapsed * 1000,  # once per pool
+        "pool_warm_ms": pool_warm_timer.elapsed * 1000,  # per batch after
     }
 
     # --- warm persistent-pool scaling ---------------------------------
@@ -227,14 +217,8 @@ def test_r7_runtime_comparison(runtime_comparison):
                 ["load ms (no crc)", snapshot["load_noverify_ms"]],
                 ["pickle bytes", snapshot["pickle_bytes"]],
                 ["unpickle ms", snapshot["unpickle_ms"]],
-                [
-                    f"legacy {cold['workers']}-shard per-call ms",
-                    cold["legacy_oneshot_ms"],
-                ],
                 [f"pool {cold['workers']}w first-batch ms", cold["pool_cold_ms"]],
                 [f"pool {cold['workers']}w warm-batch ms", cold["pool_warm_ms"]],
-                ["warm speedup vs one-shot", cold["warm_speedup_vs_oneshot"]],
-                ["breakeven batches", cold["breakeven_batches"]],
             ],
             title="R7: snapshot + cold-start costs",
         ),
@@ -255,10 +239,9 @@ def test_r7_runtime_comparison(runtime_comparison):
         "compiled runtime must be >= 3x reference throughput, got "
         f"{runtime_comparison['compiled_speedup']:.2f}x"
     )
-    warm_speedup = runtime_comparison["cold_start"]["warm_speedup_vs_oneshot"]
-    assert warm_speedup >= 1.5, (
-        "a warm persistent pool must serve a batch meaningfully faster than "
-        f"one-shot pickled sharding pays per call, got {warm_speedup:.2f}x"
+    assert cold["pool_warm_ms"] < cold["pool_cold_ms"], (
+        "a warm persistent pool must serve a batch faster than its first "
+        "(spawn + snapshot load) batch"
     )
 
 

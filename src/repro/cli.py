@@ -13,7 +13,6 @@ Exposes the full offline pipeline and the runtime detector::
     repro reload --url http://127.0.0.1:8080 --snapshot g2.hdms
     repro detect --snapshot model.hdms --workers 4 --input queries.txt
     repro serve --snapshot model.hdms --port 8080
-    repro serve --snapshot model.hdms --port 8080 --replicas 4
     repro route --snapshot model.hdms --port 8080 --replicas 4
     repro replica --snapshot model.hdms --port 0
     repro evaluate --model model/ --log heldout.jsonl.gz
@@ -204,35 +203,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_detect)
 
     p = sub.add_parser(
-        "serve", help="serve detection over HTTP (micro-batched, cached)"
+        "serve",
+        help="serve detection over HTTP from one process "
+        "(micro-batched, cached; `repro route` for N processes)",
     )
     p.add_argument("--model", help="model bundle directory")
     p.add_argument(
-        "--snapshot",
-        metavar="FILE",
-        help="serve from a compiled snapshot (workers mmap it read-only)",
+        "--snapshot", metavar="FILE", help="serve from a compiled snapshot"
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080, help="0 picks a free port")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --snapshot: run micro-batches on an N-process "
-        "snapshot-backed pool instead of in-process",
-    )
     p.add_argument("--spell", action="store_true", help="enable typo correction")
-    p.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --snapshot: run N replica processes behind a "
-        "consistent-hash router (shorthand for `repro route`)",
-    )
     _add_service_flags(p)
-    _add_router_flags(p)
     p.set_defaults(handler=_cmd_serve)
 
     p = sub.add_parser(
@@ -351,8 +333,8 @@ def _add_service_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_router_flags(p: argparse.ArgumentParser) -> None:
-    """Adaptive-fleet flags shared by ``serve --replicas N`` and ``route``:
-    autoscaling bounds, tail-hedging policy, and cache warm-up."""
+    """Adaptive-fleet flags of ``route``: autoscaling bounds,
+    tail-hedging policy, cache warm-up and health probing."""
     p.add_argument(
         "--min-replicas",
         type=int,
@@ -781,35 +763,14 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-class _PoolBackedDetector:
-    """Route a service's micro-batches through the snapshot worker pool.
-
-    ``DetectionService`` only calls ``detect_batch``/``detect``; this
-    adapter pins the pool fan-out (`workers`) chosen on the command line
-    while single-query fallbacks stay in-process.
-    """
-
-    def __init__(self, detector, workers: int) -> None:
-        self._detector = detector
-        self._workers = workers
-
-    @property
-    def vectorized_batch(self) -> bool:
-        """Whether pool workers answer chunks array-at-a-time (surfaced
-        in the service's ``/stats`` as ``vectorized``)."""
-        return bool(getattr(self._detector, "vectorized_batch", False))
-
-    def detect(self, text):
-        return self._detector.detect(text)
-
-    def detect_batch(self, texts):
-        return self._detector.detect_batch(texts, workers=self._workers)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serving import DetectionService, ServingConfig, run_server
+    from repro.serving import (
+        DetectionHTTPServer,
+        DetectionService,
+        run_until_signalled,
+    )
 
     if bool(args.model) == bool(args.snapshot):
         print(
@@ -817,32 +778,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers > 1 and not args.snapshot:
-        print("error: --workers needs --snapshot", file=sys.stderr)
-        return 2
-    autoscaled = args.min_replicas is not None or args.max_replicas is not None
-    if args.replicas > 1 or autoscaled:
-        if not args.snapshot:
-            print("error: --replicas needs --snapshot", file=sys.stderr)
-            return 2
-        if args.workers > 1:
-            print(
-                "error: --replicas already fans out across processes; "
-                "drop --workers",
-                file=sys.stderr,
-            )
-            return 2
-        if args.spell:
-            from repro.runtime import read_snapshot_header
-
-            if not read_snapshot_header(args.snapshot)["has_speller"]:
-                print(
-                    "error: snapshot was saved without a speller; rebuild it "
-                    "with `repro snapshot --spell`",
-                    file=sys.stderr,
-                )
-                return 2
-        return _run_router_cli(args)
     if args.snapshot:
         from repro.runtime import read_snapshot_header
         from repro.runtime.compiled import CompiledDetector
@@ -858,28 +793,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         model = load_model(args.model)
         detector = model.compile(correct_spelling=args.spell)
-    config = ServingConfig(
-        max_batch_size=args.max_batch_size,
-        max_wait_us=args.max_wait_us,
-        max_pending=args.max_pending,
-        cache_size=args.cache_size,
-    )
-    serving_detector = (
-        _PoolBackedDetector(detector, args.workers) if args.workers > 1 else detector
+    server = DetectionHTTPServer(
+        DetectionService(detector, _serving_config(args)), args.host, args.port
     )
 
     def _ready(port: int) -> None:
         print(f"serving on http://{args.host}:{port}", flush=True)
 
     try:
-        asyncio.run(
-            run_server(
-                DetectionService(serving_detector, config),
-                host=args.host,
-                port=args.port,
-                ready=_ready,
-            )
-        )
+        asyncio.run(run_until_signalled(server, _ready))
     finally:
         detector.close()
     print("server drained and stopped", flush=True)
@@ -887,24 +809,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    if args.replicas < 1:
-        print("error: need at least one replica", file=sys.stderr)
-        return 2
-    return _run_router_cli(args)
-
-
-def _run_router_cli(args: argparse.Namespace) -> int:
-    """Shared body of ``repro route`` and ``repro serve --replicas N``."""
     import asyncio
 
     from repro.errors import ServingError
-    from repro.serving.router import (
-        AutoscalerConfig,
-        Router,
-        RouterConfig,
-        run_router,
-    )
+    from repro.serving import DetectionHTTPServer, run_until_signalled
+    from repro.serving.router import AutoscalerConfig, Router, RouterConfig
 
+    if args.replicas < 1:
+        print("error: need at least one replica", file=sys.stderr)
+        return 2
     autoscaler = None
     initial = args.replicas
     if args.min_replicas is not None or args.max_replicas is not None:
@@ -927,7 +840,7 @@ def _run_router_cli(args: argparse.Namespace) -> int:
         initial = floor
     try:
         config = RouterConfig(
-            max_inflight=getattr(args, "max_inflight", 1024),
+            max_inflight=args.max_inflight,
             health_interval_s=args.health_interval,
             hedge_p99_us=args.hedge_p99_us,
             hedge_rate=args.hedge_rate,
@@ -958,7 +871,12 @@ def _run_router_cli(args: argparse.Namespace) -> int:
         )
         print(f"routing {fleet} on http://{args.host}:{port}", flush=True)
 
-    asyncio.run(run_router(router, host=args.host, port=args.port, ready=_ready))
+    async def _route() -> None:
+        await router.start()
+        server = DetectionHTTPServer(router, args.host, args.port)
+        await run_until_signalled(server, _ready)
+
+    asyncio.run(_route())
     print("router drained and stopped", flush=True)
     return 0
 
@@ -967,35 +885,39 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.runtime.compiled import CompiledDetector
-    from repro.serving import DetectionService, ServingConfig
-    from repro.serving.replica import run_replica
+    from repro.serving import DetectionService, run_until_signalled
+    from repro.serving.replica import ReplicaServer
 
     detector = CompiledDetector.load_snapshot(args.snapshot)
-    config = ServingConfig(
-        max_batch_size=args.max_batch_size,
-        max_wait_us=args.max_wait_us,
-        max_pending=args.max_pending,
-        cache_size=args.cache_size,
+    server = ReplicaServer(
+        DetectionService(detector, _serving_config(args)),
+        args.host,
+        args.port,
+        replica_id=args.replica_id,
+        generation=args.generation,
     )
 
     def _ready(port: int) -> None:
         print(f"replica listening on {args.host}:{port}", flush=True)
 
     try:
-        asyncio.run(
-            run_replica(
-                DetectionService(detector, config),
-                host=args.host,
-                port=args.port,
-                replica_id=args.replica_id,
-                generation=args.generation,
-                ready=_ready,
-            )
-        )
+        asyncio.run(run_until_signalled(server, _ready))
     finally:
         detector.close()
     print("replica drained and stopped", flush=True)
     return 0
+
+
+def _serving_config(args: argparse.Namespace):
+    """The :class:`~repro.serving.ServingConfig` of the service flags."""
+    from repro.serving import ServingConfig
+
+    return ServingConfig(
+        max_batch_size=args.max_batch_size,
+        max_wait_us=args.max_wait_us,
+        max_pending=args.max_pending,
+        cache_size=args.cache_size,
+    )
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:

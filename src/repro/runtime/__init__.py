@@ -20,7 +20,6 @@ a persistent process pool over a snapshot and serves batches via chunked
 dispatch. See ``docs/TOUR.md`` § "Runtime & performance".
 """
 
-from repro.runtime.batch import detect_batch_sharded, shard
 from repro.runtime.compiled import (
     DENSE_LIMIT,
     CompiledDetector,
@@ -50,9 +49,7 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "Interner",
     "UNKNOWN",
-    "detect_batch_sharded",
     "load_snapshot",
     "read_snapshot_header",
     "save_snapshot",
-    "shard",
 ]

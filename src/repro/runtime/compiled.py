@@ -458,8 +458,8 @@ class CompiledDetector(HeadModifierDetector):
 
     Construct via :meth:`repro.core.model.HdmModel.compile` (preferred)
     or directly with the same arguments as the reference detector.
-    ``detect_batch`` additionally accepts ``workers`` to fan shards out
-    across processes (see :mod:`repro.runtime.batch`).
+    ``detect_batch`` additionally accepts ``workers`` to fan chunks out
+    across processes (see :class:`~repro.runtime.pool.DetectorPool`).
     """
 
     def __init__(

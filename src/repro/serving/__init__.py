@@ -15,9 +15,12 @@ a server for that shape:
   dedup of identical in-flight queries, bounded admission queue raising
   :class:`~repro.errors.ServerOverloadedError`, graceful drain, and a
   finalize guard for abandoned services.
-- :class:`DetectionHTTPServer` (:mod:`repro.serving.http`) — a small
-  stdlib-only asyncio HTTP server (``POST /detect``, ``GET /stats``,
-  ``GET /healthz``) behind ``repro serve``.
+- :class:`DetectionHTTPServer` (:mod:`repro.serving.http`) — the one
+  small stdlib-only asyncio HTTP server (``POST /detect``, ``GET
+  /stats``, ``GET /healthz``, ``POST /reload``), fronting a service
+  (``repro serve``) or a router (``repro route``) alike;
+  :func:`run_until_signalled` is the SIGINT/SIGTERM process loop of
+  every serving command.
 - :class:`ServingMetrics` (:mod:`repro.serving.metrics`) — per-stage
   latency histograms (mergeable fixed buckets), counters, and span
   traces threaded batcher → service → replica → router and surfaced
@@ -25,7 +28,7 @@ a server for that shape:
 - :class:`ReplicaServer` (:mod:`repro.serving.replica`) and
   :class:`Router` (:mod:`repro.serving.router`) — multi-replica
   serving: N replica processes share one mmap'd snapshot behind a
-  consistent-hash front door (``repro serve --replicas N``), with
+  consistent-hash front door (``repro route --replicas N``), with
   per-replica health, restart-with-generation, and aggregated
   fleet ``/stats``. The router doubles as the adaptive control plane
   (PR 9): :class:`Autoscaler`-driven replica scaling between
@@ -40,9 +43,13 @@ by the R10/R12 benchmarks (``benchmarks/bench_r10_serving.py``,
 """
 
 from repro.serving.batcher import MicroBatcher
-from repro.serving.http import DetectionHTTPServer, detection_payload, run_server
+from repro.serving.http import (
+    DetectionHTTPServer,
+    detection_payload,
+    run_until_signalled,
+)
 from repro.serving.metrics import LatencyHistogram, ServingMetrics, StatCounter
-from repro.serving.replica import ReplicaServer, run_replica
+from repro.serving.replica import ReplicaServer
 from repro.serving.router import (
     Autoscaler,
     AutoscalerConfig,
@@ -51,8 +58,6 @@ from repro.serving.router import (
     ReplicaClient,
     Router,
     RouterConfig,
-    RouterHTTPServer,
-    run_router,
 )
 from repro.serving.service import DetectionService, ServingConfig
 
@@ -69,12 +74,9 @@ __all__ = [
     "ReplicaServer",
     "Router",
     "RouterConfig",
-    "RouterHTTPServer",
     "ServingConfig",
     "ServingMetrics",
     "StatCounter",
     "detection_payload",
-    "run_replica",
-    "run_router",
-    "run_server",
+    "run_until_signalled",
 ]

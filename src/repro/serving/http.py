@@ -1,39 +1,46 @@
 """A small stdlib-only asyncio HTTP front door for the serving layer.
 
-``repro serve`` binds :class:`DetectionHTTPServer` over a
-:class:`~repro.serving.service.DetectionService`. The protocol surface
-is deliberately tiny (HTTP/1.1, ``Connection: close``, JSON in/out):
+:class:`DetectionHTTPServer` is the one outward HTTP surface: ``repro
+serve`` binds it over a single-process
+:class:`~repro.serving.service.DetectionService`, ``repro route`` over a
+replica fleet's :class:`~repro.serving.router.Router`. Clients cannot
+tell the two apart. The protocol surface is deliberately tiny (HTTP/1.1,
+``Connection: close``, JSON in/out):
 
 - ``POST /detect`` with body ``{"query": "cheap hotels in rome"}`` →
   ``200`` and the same JSON shape as ``repro detect --json``.
 - ``GET /stats`` → serving counters (cache hit rate, batch histogram…).
-- ``GET /healthz`` → ``{"status": "ok"}`` once accepting traffic.
+- ``GET /healthz`` → ``{"status": "ok", ...}`` once accepting traffic;
+  ``503`` when a fleet has no replica up.
+- ``POST /reload`` with body ``{"snapshot": "g2.hdms"}`` → hot-swap onto
+  a new snapshot; ``502`` when no replica took it.
 
 Admission-control rejections map to ``503`` with a ``Retry-After``
 header (deterministic backpressure all the way to the wire), malformed
-requests to ``400``, oversized bodies to ``413``, unknown routes to
-``404``. A connection dropped mid-request is abandoned silently — there
-is no peer left to answer, and nothing downstream (batcher, service) is
-ever touched with a partial request. Shutdown is graceful:
-:meth:`DetectionHTTPServer.stop` stops accepting connections, drains the
-service (in-flight detections complete), then returns; ``run_server``
-wires that to SIGINT/SIGTERM.
-
-The request/response plumbing is module-level (:func:`read_http_request`,
-:func:`http_response`) so the multi-replica router front door
-(:mod:`repro.serving.router`) speaks byte-identical HTTP without a
-second parser.
+requests to ``400``, oversized bodies to ``413``, oversized request or
+header lines to ``414``/``431``, unknown routes to ``404``. A connection
+dropped mid-request is abandoned silently — there is no peer left to
+answer, and nothing downstream (batcher, service, fleet) is ever touched
+with a partial request. Shutdown is graceful: :meth:`DetectionHTTPServer.stop`
+stops accepting connections, then closes the backend (in-flight
+detections complete); :func:`run_until_signalled` wires that to
+SIGINT/SIGTERM for every serving process.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import signal
 
 from repro.core.detector import Detection
-from repro.errors import ModelError, ServerClosedError, ServerOverloadedError
-from repro.serving.service import DetectionService
+from repro.errors import (
+    ModelError,
+    ServerClosedError,
+    ServerOverloadedError,
+    ServingError,
+)
 
 #: Largest accepted request body; detection inputs are short texts.
 MAX_BODY_BYTES = 64 * 1024
@@ -44,7 +51,10 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    502: "Bad Gateway",
     503: "Service Unavailable",
 }
 
@@ -65,6 +75,16 @@ class HttpRequestError(Exception):
         self.payload = {"error": error}
 
 
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """One CRLF-terminated line; a line past the stream's buffer limit
+    (64 KiB) is answered with ``status`` instead of escaping as the
+    ``ValueError`` ``readline`` raises."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise HttpRequestError(status, f"{what} too long") from None
+
+
 async def read_http_request(
     reader: asyncio.StreamReader, max_body_bytes: int = MAX_BODY_BYTES
 ) -> tuple[str, str, bytes]:
@@ -72,19 +92,19 @@ async def read_http_request(
 
     Malformed input raises :class:`HttpRequestError` with the status to
     answer (400 for a bad request line or Content-Length, 413 past
-    ``max_body_bytes``); a connection dropped mid-request surfaces as
+    ``max_body_bytes``, 414/431 for a request/header line past the
+    stream limit); a connection dropped mid-request surfaces as
     ``asyncio.IncompleteReadError``/``ConnectionError`` for the caller
-    to abandon. Used by both :class:`DetectionHTTPServer` and the
-    router's front door (:class:`~repro.serving.router.RouterHTTPServer`).
+    to abandon.
     """
-    request_line = await reader.readline()
+    request_line = await _read_line(reader, 414, "request line")
     try:
         method, target, *_ = request_line.decode("ascii", "replace").split()
     except ValueError:
         raise HttpRequestError(400, "malformed request line") from None
     content_length = 0
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader, 431, "header line")
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("ascii", "replace").partition(":")
@@ -148,28 +168,50 @@ def detection_payload(detection: Detection) -> dict:
     }
 
 
+async def _wire(result: object) -> dict:
+    """A backend result as its wire dict — the one place the two
+    backends' shapes meet: :class:`~repro.serving.service.DetectionService`
+    answers ``detect`` with a :class:`Detection` and ``stats`` without
+    awaiting, the :class:`~repro.serving.router.Router` with wire dicts
+    from coroutines."""
+    if inspect.isawaitable(result):
+        result = await result
+    if isinstance(result, Detection):
+        return detection_payload(result)
+    return result
+
+
 class DetectionHTTPServer:
-    """Serve a :class:`DetectionService` over HTTP (see module docstring).
+    """Serve a detection backend over HTTP (see module docstring).
+
+    The backend is a :class:`~repro.serving.service.DetectionService` or
+    a :class:`~repro.serving.router.Router`; any object with these five
+    methods serves:
+
+    - ``detect(text)`` — coroutine; a ``Detection`` or its wire dict.
+      ``ServerOverloadedError``/``ServerClosedError`` answer 503, any
+      other ``ServingError`` 500.
+    - ``stats()`` — a dict, or a coroutine returning one.
+    - ``healthz()`` — a dict; one reporting ``"up": 0`` answers 503.
+    - ``reload(path)`` — coroutine; a dict whose ``"reloaded"`` count of
+      0 answers 502. ``ModelError``/``OSError`` answer 400,
+      ``ServerClosedError`` 503.
+    - ``close()`` — coroutine; drains in-flight work.
 
     >>> server = DetectionHTTPServer(service, port=0)     # doctest: +SKIP
     >>> await server.start()       # server.port is the bound port
     >>> await server.stop()        # drains in-flight requests
     """
 
-    def __init__(
-        self,
-        service: DetectionService,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-    ) -> None:
+    def __init__(self, service, host: str = "127.0.0.1", port: int = 8080) -> None:
         self._service = service
         self._host = host
         self._port = port
         self._server: asyncio.AbstractServer | None = None
 
     @property
-    def service(self) -> DetectionService:
-        """The detection service behind this server."""
+    def service(self):
+        """The backend behind this server (a service or a router)."""
         return self._service
 
     @property
@@ -191,7 +233,7 @@ class DetectionHTTPServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain the service."""
+        """Graceful shutdown: stop accepting, close (drain) the backend."""
         server, self._server = self._server, None
         if server is not None:
             server.close()
@@ -211,7 +253,7 @@ class DetectionHTTPServer:
             return
         except CLIENT_GONE:
             # The client vanished mid-request: there is nobody to answer,
-            # and the batcher/service were never touched.
+            # and the backend was never touched.
             writer.close()
             return
         try:
@@ -226,9 +268,10 @@ class DetectionHTTPServer:
         self, method: str, target: str, body: bytes
     ) -> tuple[int, dict]:
         if target == "/healthz" and method == "GET":
-            return 200, {"status": "closed" if self._service.closed else "ok"}
+            health = self._service.healthz()
+            return (503 if health.get("up") == 0 else 200), health
         if target == "/stats" and method == "GET":
-            return 200, self._service.stats()
+            return 200, await _wire(self._service.stats())
         if target == "/detect":
             if method != "POST":
                 return 405, {"error": "use POST /detect"}
@@ -240,12 +283,11 @@ class DetectionHTTPServer:
             if not isinstance(query, str):
                 return 400, {"error": "query must be a string"}
             try:
-                detection = await self._service.detect(query)
-            except ServerOverloadedError as exc:
+                return 200, await _wire(self._service.detect(query))
+            except (ServerOverloadedError, ServerClosedError) as exc:
                 return 503, {"error": str(exc)}
-            except ServerClosedError as exc:
-                return 503, {"error": str(exc)}
-            return 200, detection_payload(detection)
+            except ServingError as exc:
+                return 500, {"error": str(exc)}
         if target == "/reload":
             if method != "POST":
                 return 405, {"error": "use POST /reload"}
@@ -256,51 +298,50 @@ class DetectionHTTPServer:
                 return 400, {"error": 'body must be JSON: {"snapshot": "..."}'}
             if not isinstance(snapshot, str):
                 return 400, {"error": "snapshot must be a path string"}
-            swap = getattr(self._service, "swap_snapshot", None)
-            if swap is None:
-                return 400, {"error": "this service does not support hot swap"}
             try:
-                model_generation = swap(snapshot)
+                result = await self._service.reload(snapshot)
             except ServerClosedError as exc:
                 return 503, {"error": str(exc)}
             except (ModelError, OSError) as exc:
                 return 400, {"error": f"snapshot rejected: {exc}"}
-            return 200, {
-                "reloaded": 1,
-                "snapshot": snapshot,
-                "model_generation": model_generation,
-            }
+            return (200 if result["reloaded"] else 502), result
         return 404, {"error": f"no route {method} {target}"}
 
 
-async def run_server(
-    service: DetectionService,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    ready=None,
-) -> None:
-    """Run a server until SIGINT/SIGTERM, then drain and return.
+async def run_until_signalled(server, ready=None) -> None:
+    """Run ``server`` until SIGINT/SIGTERM, then stop it and return.
 
-    ``ready`` (optional) is called with the bound port once the server
-    accepts traffic — the CLI uses it to print the URL, tests to learn
-    an ephemeral port.
+    The process loop behind ``repro serve``, ``repro route`` and ``repro
+    replica``: ``server`` is a :class:`DetectionHTTPServer` or a
+    :class:`~repro.serving.replica.ReplicaServer` (anything with
+    ``start``/``stop``/``port``); its ``stop`` drains the backend. A
+    server that fails to start is stopped too, so its backend is closed
+    before the error propagates. ``ready`` (optional) is called with the
+    bound port once the server accepts traffic — the CLI prints its ready
+    line there, tests learn an ephemeral port.
     """
-    server = DetectionHTTPServer(service, host, port)
-    await server.start()
-    if ready is not None:
-        ready(server.port)
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
+    signals = (signal.SIGINT, signal.SIGTERM)
+    for signum in signals:
         try:
             loop.add_signal_handler(signum, stop.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass  # non-main thread or platform without signal support
     try:
-        await stop.wait()
+        try:
+            await server.start()
+        except BaseException:
+            await server.stop()
+            raise
+        if ready is not None:
+            ready(server.port)
+        try:
+            await stop.wait()
+        finally:
+            await server.stop()
     finally:
-        await server.stop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
+        for signum in signals:
             try:
                 loop.remove_signal_handler(signum)
             except (NotImplementedError, RuntimeError):  # pragma: no cover

@@ -21,9 +21,9 @@ deliberately minimal inward-facing wire protocol:
   :meth:`~repro.serving.service.DetectionService.hot_keys` — the donor
   side of replica cache warm-up), and
   ``reload`` (hot-swap the serving snapshot in place via
-  :meth:`~repro.serving.service.DetectionService.swap_snapshot` —
-  in-flight detections finish on the old model, the swap drops
-  nothing). Unknown ops get a structured
+  :meth:`~repro.serving.service.DetectionService.reload` — the file
+  loads off the event loop, in-flight detections finish on the old
+  model, the swap drops nothing). Unknown ops get a structured
   error frame; protocol violations (oversized frame, junk bytes) close
   the connection with :class:`~repro.errors.ReplicaProtocolError`
   semantics rather than wedging the reader.
@@ -32,11 +32,12 @@ deliberately minimal inward-facing wire protocol:
   can re-route, shed with ``Retry-After``, or fail the one request
   without guessing from strings.
 
-``repro replica`` runs :func:`run_replica` as a process entry point; it
-prints one machine-readable ready line (``replica listening on
-HOST:PORT``) so a parent router can spawn it with ``--port 0`` and learn
-the bound port, and drains gracefully on SIGTERM exactly like
-:func:`~repro.serving.http.run_server`.
+``repro replica`` runs a :class:`ReplicaServer` under
+:func:`~repro.serving.http.run_until_signalled`, like ``repro serve``
+and ``repro route``: it prints one machine-readable ready line
+(``replica listening on HOST:PORT``) so a parent router can spawn it
+with ``--port 0`` and learn the bound port, and drains gracefully on
+SIGTERM.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import signal
 import struct
 
 from repro.errors import (
@@ -289,16 +289,8 @@ class ReplicaServer:
                     "kind": "bad_request",
                     "error": "reload needs a string 'snapshot' path",
                 }
-            swap = getattr(self._service, "swap_snapshot", None)
-            if swap is None:
-                return {
-                    **base,
-                    "ok": False,
-                    "kind": "bad_request",
-                    "error": "this service does not support hot swap",
-                }
             try:
-                model_generation = swap(snapshot)
+                result = await self._service.reload(snapshot)
             except ServerClosedError as exc:
                 return {**base, "ok": False, "kind": "closed", "error": str(exc)}
             except (ModelError, OSError) as exc:
@@ -308,7 +300,7 @@ class ReplicaServer:
             return {
                 **base,
                 "ok": True,
-                "model_generation": model_generation,
+                "model_generation": result["model_generation"],
                 "replica": self._replica_id,
             }
         return {
@@ -318,42 +310,3 @@ class ReplicaServer:
             "error": f"unknown op {op!r}",
         }
 
-
-async def run_replica(
-    service: DetectionService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    replica_id: int = 0,
-    generation: int = 1,
-    ready=None,
-) -> None:
-    """Run one replica until SIGINT/SIGTERM, then drain and return.
-
-    The process entry behind ``repro replica`` — the socket-protocol
-    twin of :func:`~repro.serving.http.run_server`. ``ready`` (optional)
-    is called with the bound port once the replica accepts traffic; the
-    CLI uses it to print the ``replica listening on HOST:PORT`` line the
-    router parses to learn ephemeral ports.
-    """
-    server = ReplicaServer(
-        service, host, port, replica_id=replica_id, generation=generation
-    )
-    await server.start()
-    if ready is not None:
-        ready(server.port)
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # non-main thread or platform without signal support
-    try:
-        await stop.wait()
-    finally:
-        await server.stop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.remove_signal_handler(signum)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass

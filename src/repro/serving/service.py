@@ -35,9 +35,11 @@ and drains in-flight batches, then releases the worker thread. An
 abandoned service is finalize-guarded (``weakref.finalize``) so garbage
 collection also releases the thread — the PR 3 pattern.
 
-**Hot swap.** :meth:`DetectionService.swap_snapshot` atomically replaces
-the live detector with one loaded from a new snapshot, without dropping
-a request: the currently running batch keeps the old detector (its
+**Hot swap.** :meth:`DetectionService.reload` (which loads the file off
+the event loop) and its synchronous twin
+:meth:`DetectionService.swap_snapshot` atomically replace the live
+detector with one loaded from a new snapshot, without dropping a
+request: the currently running batch keeps the old detector (its
 reference was resolved at dispatch), the old detector's teardown is
 queued *behind* it on the same single worker thread, and batches
 dispatched after the swap see the new model. The result cache is
@@ -297,20 +299,45 @@ class DetectionService:
           :meth:`_run_batch` keeps any still-running old-model batch
           from re-filling it.
 
-        Must be called on the event loop thread (like every other
-        service method); the swap itself is synchronous and O(1) past
-        the snapshot load. The new generation comes from the snapshot's
-        lineage header; a pre-lineage snapshot bumps the current
-        generation by one.
+        Loads the snapshot on the calling thread; code on the event loop
+        uses :meth:`reload`, which loads it off-loop. The new generation
+        comes from the snapshot's lineage header; a pre-lineage snapshot
+        bumps the current generation by one.
         """
         if self._closed:
             raise ServerClosedError("detection service is closed")
-        detector = load_snapshot(path)
-        try:
-            generation = model_generation_of(path)
-        except (ModelError, OSError):
-            generation = self._model_generation + 1
-        if generation <= self._model_generation:
+        return self._install(*_load_versioned(path))
+
+    async def reload(self, path: str) -> dict:
+        """Hot-swap onto the snapshot at ``path`` like :meth:`swap_snapshot`,
+        loading it on an executor thread so the event loop keeps
+        answering while the file is read; the swap itself runs on the
+        loop. Returns the ``POST /reload`` wire dict: ``reloaded`` (always
+        1 — a refused swap raises), ``snapshot`` and ``model_generation``.
+
+        Raises :class:`~repro.errors.ServerClosedError` after shutdown
+        has begun and ``ModelError``/``OSError`` for a bad or missing
+        file (the old model keeps serving).
+        """
+        if self._closed:
+            raise ServerClosedError("detection service is closed")
+        loop = asyncio.get_running_loop()
+        detector, generation = await loop.run_in_executor(
+            None, _load_versioned, path
+        )
+        if self._closed:  # closed while the file was loading
+            detector.close()
+            raise ServerClosedError("detection service is closed")
+        return {
+            "reloaded": 1,
+            "snapshot": path,
+            "model_generation": self._install(detector, generation),
+        }
+
+    def _install(self, detector, generation: int | None) -> int:
+        """Make ``detector`` the live model (event-loop side of a swap;
+        see :meth:`swap_snapshot`); returns the serving generation."""
+        if generation is None or generation <= self._model_generation:
             # Rollbacks and pre-lineage snapshots still move the serving
             # generation forward — it tracks *swaps seen by this
             # service*, monotonic so fleet health checks can compare.
@@ -363,6 +390,11 @@ class DetectionService:
         finalizer, self._finalizer = self._finalizer, None
         if finalizer is not None:
             finalizer()  # shuts the executor down exactly once
+
+    def healthz(self) -> dict:
+        """``GET /healthz``: ``{"status": "ok"}``, or ``"closed"`` once
+        shutdown has begun."""
+        return {"status": "closed" if self._closed else "ok"}
 
     async def __aenter__(self) -> "DetectionService":
         return self
@@ -428,6 +460,16 @@ def _detect_batch_attributed(detector, keys: list[str]) -> list:
             except Exception as exc:
                 outcomes.append(exc)
         return outcomes
+
+
+def _load_versioned(path: str | Path) -> tuple:
+    """Load the snapshot at ``path`` with its lineage generation (None
+    for a pre-lineage snapshot) — the blocking half of a hot swap."""
+    detector = load_snapshot(path)
+    try:
+        return detector, model_generation_of(path)
+    except (ModelError, OSError):
+        return detector, None
 
 
 def _lineage_generation(detector) -> int:

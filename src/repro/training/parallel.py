@@ -4,10 +4,9 @@ A production log refresh cannot wait on a single-core mining pass, so the
 log is sharded by a stable hash of the query string (a per-intent/session
 proxy: one surface form always lands on the same shard) and each shard is
 mined in its own worker process. Workers receive the log once, via the
-executor initializer — the same pickle-once idiom as
-:mod:`repro.runtime.batch` — and a failed shard surfaces as a
-:class:`~repro.errors.ShardError` naming the shard, mirroring
-:class:`~repro.runtime.pool.DetectorPool`.
+executor initializer (pickled once per worker, not per task), and a
+failed shard surfaces as a :class:`~repro.errors.ShardError` naming the
+shard, mirroring :class:`~repro.runtime.pool.DetectorPool`.
 
 Determinism is stronger than "same multiset of pairs": workers tag every
 mined batch with the record's position in the log, and the parent replays

@@ -25,8 +25,9 @@ from repro.errors import ModelError, ServerClosedError
 from repro.runtime.lineage import save_versioned_snapshot
 from repro.runtime.snapshot import load_snapshot
 from repro.serving import DetectionService, ServingConfig
+from repro.serving.http import DetectionHTTPServer
 from repro.serving.replica import ReplicaServer
-from repro.serving.router import Router, RouterConfig, RouterHTTPServer
+from repro.serving.router import Router, RouterConfig
 
 QUERIES = ["cheap iphone 5s case", "hotels in rome", "watch free movie online"]
 
@@ -337,7 +338,7 @@ class TestRouterReload:
     def test_http_reload_route(self, gen1_path, gen2_path):
         async def main():
             router, servers = await _start_fleet(gen1_path, 2)
-            http = RouterHTTPServer(router)
+            http = DetectionHTTPServer(router)
             try:
                 body = json.dumps({"snapshot": str(gen2_path)}).encode()
                 status, payload = await http._respond("POST", "/reload", body)

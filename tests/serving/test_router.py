@@ -26,7 +26,12 @@ from repro.errors import (
     ServingError,
 )
 from repro.runtime.compiled import _normalize_fast
-from repro.serving import DetectionService, detection_payload
+from repro.serving import (
+    DetectionHTTPServer,
+    DetectionService,
+    detection_payload,
+    run_until_signalled,
+)
 from repro.serving.replica import ReplicaServer
 from repro.serving.router import (
     Autoscaler,
@@ -37,8 +42,6 @@ from repro.serving.router import (
     ReplicaHandle,
     Router,
     RouterConfig,
-    RouterHTTPServer,
-    run_router,
 )
 
 QUERIES = [
@@ -530,7 +533,7 @@ class TestRouterHTTP:
     def test_http_front_door_routes(self, compiled):
         async def main():
             async with _fleet(compiled, 2) as (router, servers):
-                server = RouterHTTPServer(router, port=0)
+                server = DetectionHTTPServer(router, port=0)
                 await server.start()
                 try:
                     port = server.port
@@ -564,8 +567,8 @@ class TestRouterHTTP:
         assert down[0] == 503  # no replica up -> healthz is 503
 
     def test_run_router_serves_and_drains_on_sigterm(self, compiled):
-        """The process entry point: comes up, answers, drains cleanly
-        when run_router receives SIGTERM."""
+        """The ``repro route`` process loop: comes up, answers, drains
+        cleanly (closing the fleet) on SIGTERM."""
 
         async def main():
             server = ReplicaServer(DetectionService(compiled), port=0)
@@ -579,8 +582,11 @@ class TestRouterHTTP:
                 bound["port"] = port
                 ready.set()
 
+            await router.start()
             task = asyncio.create_task(
-                run_router(router, port=0, ready=on_ready)
+                run_until_signalled(
+                    DetectionHTTPServer(router, port=0), ready=on_ready
+                )
             )
             await asyncio.wait_for(ready.wait(), timeout=30)
             status, payload = await _http(

@@ -372,13 +372,6 @@ class TestServeCommand:
         assert main(["serve"]) == 2
         assert "exactly one of" in capsys.readouterr().err
 
-    def test_serve_workers_require_snapshot(self, workspace, capsys):
-        code = main(
-            ["serve", "--model", str(workspace["model"]), "--workers", "2"]
-        )
-        assert code == 2
-        assert "--workers needs --snapshot" in capsys.readouterr().err
-
     def test_serve_spell_requires_speller_in_snapshot(self, snapshot, capsys):
         code = main(["serve", "--snapshot", str(snapshot), "--spell"])
         assert code == 2

@@ -29,7 +29,6 @@ from repro.runtime import (
     load_snapshot,
     read_snapshot_header,
     save_snapshot,
-    shard,
 )
 from repro.runtime.compiled import PhraseReading, _normalize_fast
 from repro.runtime.intern import Interner
@@ -213,13 +212,6 @@ class TestBatch:
         assert compiled.detect_batch(queries, workers=2) == compiled.detect_batch(
             queries
         )
-
-    def test_shard_is_contiguous_and_balanced(self):
-        assert shard(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
-        assert shard([1, 2], 5) == [[1], [2]]
-        assert shard([], 2) == [[]]
-        with pytest.raises(ValueError):
-            shard([1], 0)
 
 
 class TestSnapshotParity:

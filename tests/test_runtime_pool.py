@@ -1,10 +1,9 @@
-"""Persistent pool serving, sharded-batch failure handling, and shard()
-edge cases.
+"""Persistent pool serving: the one multi-process batch path.
 
 The pool contract: results identical to in-process detection, workers
 reused across batches, deterministic shutdown, and worker failures
 surfaced as :class:`~repro.errors.ShardError` naming the offending
-chunk/shard — never a hang.
+chunk — never a hang.
 """
 
 from __future__ import annotations
@@ -13,11 +12,9 @@ import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ModelError, ShardError
-from repro.runtime import DetectorPool, detect_batch_sharded, shard
+from repro.runtime import DetectorPool
 from repro.runtime.pool import MAX_CHUNK_SIZE
 
 
@@ -214,51 +211,6 @@ class TestCompiledDetectorServing:
         assert not clone._owns_snapshot  # must not delete the original's file
         assert clone.detect(queries[0]) == compiled.detect(queries[0])
         compiled.close()
-
-
-class _BoomDetector:
-    """Picklable stub whose detect() raises on a marker text."""
-
-    def detect(self, text):
-        if text == "boom":
-            raise RuntimeError("kapow")
-        return text.upper()
-
-
-class TestShardedBatchFailure:
-    def test_failure_names_shard_and_does_not_hang(self):
-        with pytest.raises(ShardError, match=r"shard 2/2") as err:
-            detect_batch_sharded(_BoomDetector(), ["a", "b", "c", "boom"], workers=2)
-        message = str(err.value)
-        assert "'boom'" in message  # offending texts previewed
-        assert "kapow" in message  # original cause preserved
-
-    def test_success_path_preserves_order_and_dedup(self):
-        out = detect_batch_sharded(_BoomDetector(), ["a", "b", "a"], workers=2)
-        assert out == ["A", "B", "A"]
-
-
-class TestShardEdgeCases:
-    def test_empty_input(self):
-        assert shard([], 3) == [[]]
-
-    def test_single_item(self):
-        assert shard(["only"], 4) == [["only"]]
-
-    def test_more_workers_than_items(self):
-        assert shard([1, 2, 3], 10) == [[1], [2], [3]]
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        items=st.lists(st.integers(), max_size=200),
-        num_shards=st.integers(min_value=1, max_value=32),
-    )
-    def test_concatenated_shards_equal_input(self, items, num_shards):
-        shards = shard(items, num_shards)
-        assert [item for s in shards for item in s] == items
-        assert len(shards) == (min(num_shards, len(items)) or 1)
-        sizes = [len(s) for s in shards]
-        assert max(sizes) - min(sizes) <= 1
 
 
 class TestFinalizeGuards:
